@@ -118,9 +118,12 @@ fn cmd_check(args: &[String]) -> i32 {
     };
     let session = session_with_libraries(Database::new());
     match session.compile(&src) {
+        // Analysis covers the whole program and libraries; the module is
+        // pruned to what `output`, `insert`/`delete` and the constraints
+        // read, so the report counts what a run would evaluate.
         Ok(module) => {
             println!(
-                "ok: {} predicates, {} strata",
+                "ok: {} predicates, {} strata evaluated",
                 module.rules.len(),
                 module.strata.len()
             );

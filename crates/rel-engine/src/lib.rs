@@ -41,6 +41,20 @@
 //! wrappers over the same machinery (both go through the session's
 //! module cache).
 //!
+//! ## Evaluation scope
+//!
+//! A statement evaluates only the strata that its `output`,
+//! `insert`/`delete` and integrity constraints (the installed
+//! libraries' included) transitively read: [`Session::compile`] prunes
+//! each compiled module to that cone before caching it, so queries,
+//! prepared executes, transaction steps, commit-time constraint checks
+//! and watches never derive library rules the statement cannot observe.
+//! Analysis still covers the whole library — safety and stratification
+//! errors anywhere in it fail every statement — but a *runtime* error
+//! (say, arithmetic overflow) confined to a stratum the statement does
+//! not read no longer does. The free functions [`materialize`] and
+//! friends evaluate whatever module they are given, in full.
+//!
 //! ## Modules
 //!
 //! * [`prepared`] — [`Prepared`] query handles and [`Params`] bindings:

@@ -29,7 +29,7 @@
 //! }
 //! ```
 
-use crate::session::{check_constraints, Session};
+use crate::session::{check_constraints, output_of, Session};
 use rel_core::{name, Database, Name, RelError, RelResult, Relation, Value};
 use rel_sema::ir::{param_relation, Module};
 use std::collections::BTreeMap;
@@ -155,7 +155,7 @@ impl Prepared {
         if let Some(start) = start {
             crate::metrics::registry().query_us.record(start.elapsed());
         }
-        Ok(rels.get("output").cloned().unwrap_or_default())
+        Ok(output_of(&rels))
     }
 
     /// [`Prepared::execute`] under a profile sink — see
@@ -183,7 +183,7 @@ impl Prepared {
         session.run_profiled(start, module_cache_hit, |s| {
             let (rels, outcome) = s.materialize_module_outcome(&self.module, &db)?;
             check_constraints(&self.module, &rels)?;
-            Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
+            Ok((output_of(&rels), outcome))
         })
     }
 
@@ -267,7 +267,7 @@ impl Prepared {
             }
             let rels = session.materialize_module(&self.module, &db)?;
             check_constraints(&self.module, &rels)?;
-            out.push(rels.get("output").cloned().unwrap_or_default());
+            out.push(output_of(&rels));
         }
         Ok(out)
     }

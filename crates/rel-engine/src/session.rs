@@ -11,8 +11,10 @@
 //! once per revision, and every compiled `library + query` module is
 //! memoized by source in the session's module cache — re-running a query
 //! string, or executing a [`Prepared`] handle any number of times, never
-//! recompiles. See [`crate::prepared`] and [`crate::txn`] for the
-//! prepared-query and explicit-transaction halves of the API.
+//! recompiles. A compiled module keeps only the strata its control
+//! relations and constraints read (see [`Session::compile`]). See
+//! [`crate::prepared`] and [`crate::txn`] for the prepared-query and
+//! explicit-transaction halves of the API.
 
 use crate::config::EngineConfig;
 use crate::durability::{self, DurabilityConfig, DurableStore};
@@ -48,7 +50,56 @@ const MODULE_CACHE_CAP: usize = 512;
 /// tuple storage.
 const FIXPOINT_CACHE_CAP: usize = 32;
 
-type ModuleCache = LruMap<String, Arc<Module>>;
+/// Compiled modules per session. Statements are keyed by source, so the
+/// hit path borrows the caller's `&str` and allocates nothing;
+/// [`Session::eval`] modules are pruned to one more root relation and
+/// are keyed by that relation too.
+#[derive(Debug)]
+struct ModuleCache {
+    statements: LruMap<String, Arc<Module>>,
+    evals: LruMap<(Name, String), Arc<Module>>,
+}
+
+impl ModuleCache {
+    fn new() -> Self {
+        ModuleCache {
+            statements: LruMap::new(MODULE_CACHE_CAP),
+            evals: LruMap::new(MODULE_CACHE_CAP),
+        }
+    }
+
+    fn get(&self, src: &str, extra_root: Option<&str>) -> Option<Arc<Module>> {
+        match extra_root {
+            None => self.statements.get(src),
+            Some(root) => self.evals.get(&(rel_core::name(root), src.to_string())),
+        }
+    }
+
+    fn insert(&mut self, src: &str, extra_root: Option<&str>, module: Arc<Module>) {
+        match extra_root {
+            None => self.statements.insert(src.to_string(), module),
+            Some(root) => {
+                let key = (rel_core::name(root), src.to_string());
+                self.evals.insert(key, module)
+            }
+        }
+    }
+}
+
+/// The control relations (§3.4): `output` is a statement's answer and
+/// `insert`/`delete` its writes. Together with the constraints they are
+/// the roots every compiled statement is pruned to (see
+/// [`Session::compile`]), and they must be materializable.
+const CONTROL_RELATIONS: [&str; 3] = [OUTPUT, INSERT, DELETE];
+const OUTPUT: &str = "output";
+const INSERT: &str = "insert";
+const DELETE: &str = "delete";
+
+/// The `output` control relation of a materialized state (empty when the
+/// statement defines none).
+pub(crate) fn output_of(rels: &BTreeMap<Name, Relation>) -> Relation {
+    rels.get(OUTPUT).cloned().unwrap_or_default()
+}
 
 /// Key: the module's `Arc` address. The entry keeps the `Arc` alive, so
 /// the address cannot be recycled by a different allocation while the
@@ -186,7 +237,7 @@ impl Session {
             library: String::new(),
             index_cache: SharedIndexCache::default(),
             library_ast: OnceLock::new(),
-            module_cache: Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP))),
+            module_cache: Arc::new(RwLock::new(ModuleCache::new())),
             fixpoint_cache: Arc::new(RwLock::new(LruMap::new(FIXPOINT_CACHE_CAP))),
             incremental: incremental::env_enabled(),
             durability: None,
@@ -411,7 +462,7 @@ impl Session {
         self.library.push_str(src);
         self.library.push('\n');
         self.library_ast = OnceLock::new();
-        self.module_cache = Arc::new(RwLock::new(LruMap::new(MODULE_CACHE_CAP)));
+        self.module_cache = Arc::new(RwLock::new(ModuleCache::new()));
         // The old library's compiled modules can never be looked up again
         // through this session, so their captured fixpoints would only
         // pin retired modules and pre-change relation state — swap the
@@ -570,12 +621,32 @@ impl Session {
     /// once per library revision (and the library prefix is *parsed* at
     /// most once per revision). The cache-hit path is allocation-free.
     /// The returned handle is shared — cloning it is free.
+    ///
+    /// # Evaluation scope
+    ///
+    /// The module is pruned ([`Module::prune_to`]) to the strata the
+    /// statement reads: those its control relations `output`, `insert`
+    /// and `delete` and its integrity constraints (the library's
+    /// included) transitively depend on. Every evaluation of it —
+    /// [`Session::query`], [`Prepared`] executes, [`Transaction`] steps
+    /// and their commit-time constraint checks, watches — derives only
+    /// those strata, so a large library costs nothing for the rules a
+    /// statement never reads. Pruning happens after analysis: safety and
+    /// stratification errors still cover the whole library. A runtime
+    /// error (say, arithmetic overflow) confined to a stratum the
+    /// statement does not read no longer fails it.
     pub fn compile(&self, src: &str) -> RelResult<Arc<Module>> {
+        self.compile_rooted(src, None)
+    }
+
+    /// [`Session::compile`], optionally keeping one more relation (and
+    /// what it reads) in the pruned module.
+    fn compile_rooted(&self, src: &str, extra_root: Option<&str>) -> RelResult<Arc<Module>> {
         if let Some(m) = self
             .module_cache
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
+            .get(src, extra_root)
         {
             if metrics::enabled() {
                 metrics::registry().module_cache_hits.incr();
@@ -587,11 +658,13 @@ impl Session {
         }
         let mut program = (*self.library_program()?).clone();
         program.extend(rel_syntax::parse_program(src)?);
-        let module = Arc::new(rel_sema::analyze(&program)?);
+        let mut module = rel_sema::analyze(&program)?;
+        module.prune_to(CONTROL_RELATIONS.into_iter().chain(extra_root));
+        let module = Arc::new(module);
         self.module_cache
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(src.to_string(), Arc::clone(&module));
+            .insert(src, extra_root, Arc::clone(&module));
         Ok(module)
     }
 
@@ -691,6 +764,12 @@ impl Session {
     /// constraints in scope are checked; `insert`/`delete` rules are
     /// evaluated but **not** applied. Equivalent to
     /// `self.prepare(src)?.execute(self)` minus the reusable handle.
+    ///
+    /// Only the strata that `output`, `insert`/`delete` and the
+    /// constraints transitively read are evaluated — library rules the
+    /// query never reaches cost nothing, and a runtime error confined to
+    /// them does not fail the query (see [`Session::compile`]'s
+    /// evaluation scope).
     pub fn query(&self, src: &str) -> RelResult<Relation> {
         // With a slow-query threshold armed, run under a profile sink so
         // a crossing logs *what the query did*, not just that it was slow.
@@ -706,7 +785,7 @@ impl Session {
         if let Some(start) = start {
             metrics::registry().query_us.record(start.elapsed());
         }
-        Ok(rels.get("output").cloned().unwrap_or_default())
+        Ok(output_of(&rels))
     }
 
     /// [`Session::query`] under a profile sink: returns the `output`
@@ -718,12 +797,7 @@ impl Session {
     /// [`crate::profile`] for how to read the result.
     pub fn query_profiled(&self, src: &str) -> RelResult<(Relation, QueryProfile)> {
         let start = std::time::Instant::now();
-        let module_cache_hit = self
-            .module_cache
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
-            .is_some();
+        let module_cache_hit = self.module_cached(src);
         let module = self.compile(src)?;
         check_control_materializable(&module)?;
         require_no_params(&module)?;
@@ -731,7 +805,7 @@ impl Session {
             self.run_profiled(start, module_cache_hit, |s| {
                 let (rels, outcome) = s.materialize_module_outcome(&module, &s.db)?;
                 check_constraints(&module, &rels)?;
-                Ok((rels.get("output").cloned().unwrap_or_default(), outcome))
+                Ok((output_of(&rels), outcome))
             })?;
         Ok((out, profile))
     }
@@ -779,15 +853,16 @@ impl Session {
         self.module_cache
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(src)
+            .get(src, None)
             .is_some()
     }
 
     /// Evaluate a query and return an arbitrary derived relation (useful
     /// for tests and tooling). Demand-driven relations cannot be fetched
-    /// whole.
+    /// whole. The module is pruned as in [`Session::compile`], with
+    /// `relation` as one more root, and cached per `(relation, src)`.
     pub fn eval(&self, src: &str, relation: &str) -> RelResult<Relation> {
-        let module = self.compile(src)?;
+        let module = self.compile_rooted(src, Some(relation))?;
         require_no_params(&module)?;
         let rels = self.materialize_module(&module, &self.db)?;
         Ok(rels.get(relation).cloned().unwrap_or_default())
@@ -831,7 +906,7 @@ pub(crate) fn require_no_params(module: &Module) -> RelResult<()> {
 /// Control relations must be fully materializable: a demand-driven
 /// `output` would silently evaluate to nothing.
 pub(crate) fn check_control_materializable(module: &Module) -> RelResult<()> {
-    for control in ["output", "insert", "delete"] {
+    for control in CONTROL_RELATIONS {
         if let Some(info) = module.pred_info.get(control) {
             if let rel_sema::ir::EvalMode::Demand { bound_prefix } = info.mode {
                 return Err(RelError::unsafe_expr(format!(
@@ -849,7 +924,7 @@ pub(crate) fn check_control_materializable(module: &Module) -> RelResult<()> {
 /// tuple is `⟨:RelName, v₁, …, vₙ⟩` (§3.4).
 pub(crate) fn extract_delta(rels: &BTreeMap<Name, Relation>) -> RelResult<Delta> {
     let mut delta = Delta::default();
-    for (control, is_insert) in [("insert", true), ("delete", false)] {
+    for (control, is_insert) in [(INSERT, true), (DELETE, false)] {
         let Some(rel) = rels.get(control) else { continue };
         for t in rel.iter() {
             let Some(Value::Symbol(target)) = t.get(0) else {

@@ -36,8 +36,8 @@ use crate::fixpoint::materialize_with_cache;
 use crate::incremental::{materialize_incremental, PreState};
 use crate::prepared::{Params, Prepared};
 use crate::session::{
-    check_constraints, check_control_materializable, extract_delta, require_no_params, Session,
-    TxnOutcome,
+    check_constraints, check_control_materializable, extract_delta, output_of, require_no_params,
+    Session, TxnOutcome,
 };
 use crate::watch::Watch;
 use rel_core::database::Delta;
@@ -148,7 +148,7 @@ impl<'s> Transaction<'s> {
         rels: BTreeMap<Name, Relation>,
     ) -> RelResult<Relation> {
         let delta = extract_delta(&rels)?;
-        let output = rels.get("output").cloned().unwrap_or_default();
+        let output = output_of(&rels);
         if let Some(pre) = pre {
             self.checks.push(PendingCheck { module, param_rels, pre });
         }
@@ -218,7 +218,7 @@ impl<'s> Transaction<'s> {
         // compiled steps carries no pending check that would enforce the
         // *installed library's* constraints (every `run` step's module
         // embeds them). Compile the empty query — cached after the first
-        // time — to recover exactly those.
+        // time — to recover exactly those, pruned to what they read.
         if self.checks.is_empty() && !self.touched.is_empty() {
             let module = self.session.compile("")?;
             if !module.constraints.is_empty() {

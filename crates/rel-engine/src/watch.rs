@@ -42,7 +42,7 @@
 //! watch notification, exactly as they bypass the WAL.
 
 use crate::prepared::{Params, Prepared};
-use crate::session::{check_constraints, Session};
+use crate::session::{check_constraints, output_of, Session};
 use rel_core::{Name, RelResult, Relation};
 use rel_sema::ir::Module;
 use std::collections::BTreeSet;
@@ -199,7 +199,7 @@ pub(crate) fn register(
 ) -> RelResult<Watch> {
     let rels = prepared.materialize_with(session, params, session.db())?;
     check_constraints(prepared.module(), &rels)?;
-    let initial = rels.get("output").cloned().unwrap_or_default();
+    let initial = output_of(&rels);
     let buffer = session.watch_buffer().max(1);
     let (tx, rx) = std::sync::mpsc::sync_channel(buffer);
     // Capacity ≥ 1 and the channel is empty: the snapshot always fits.
@@ -246,7 +246,7 @@ pub(crate) fn notify(registry: &WatchRegistry, session: &Session, touched: &BTre
             .prepared
             .materialize_with(session, &entry.params, session.db())
         {
-            Ok(rels) => rels.get("output").cloned().unwrap_or_default(),
+            Ok(rels) => output_of(&rels),
             // Evaluation failure (e.g. resource pressure) must not lose
             // the subscriber silently — force a resync on the next commit.
             Err(_) => {

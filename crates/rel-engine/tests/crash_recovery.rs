@@ -309,6 +309,9 @@ fn bit_flip_mid_log_is_hard_error_with_offset() {
 
 #[test]
 fn empty_and_zero_length_stores_open_clean() {
+    // Opening for append consults the process-global failpoint budget
+    // that sibling tests arm; hold the lock so none is armed meanwhile.
+    let _guard = FAILPOINT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = cfg(FsyncPolicy::Off);
     // Brand-new directory.
     let dir = temp_dir("fresh");

@@ -473,6 +473,77 @@ impl Module {
             .filter_map(|(i, &in_c)| in_c.then_some(i))
             .collect()
     }
+
+    /// Keep only the strata that `roots` — and every integrity
+    /// constraint — transitively read: the backward closure, along
+    /// [`Module::stratum_deps`], of the strata defining a root or a name
+    /// some constraint references. Read edges into demand-mode strata are
+    /// part of the DAG, so a demand predicate a kept rule calls survives
+    /// together with everything it reads.
+    ///
+    /// Every constraint is kept. The rules and [`PredInfo`] of dropped
+    /// predicates go; `strata`, `stratum_deps`, `stratum_reads` and
+    /// `pred_info[..].stratum` are re-indexed, preserving dependency
+    /// order. Roots that name no derived predicate (base relations,
+    /// undefined names) are ignored, and `params` is left as is — it
+    /// lists what the source references. A module without the
+    /// condensation DAG (hand-assembled, out of sync) is left untouched.
+    pub fn prune_to<S: AsRef<str>>(&mut self, roots: impl IntoIterator<Item = S>) {
+        let n = self.strata.len();
+        if self.stratum_deps.len() != n || self.stratum_reads.len() != n {
+            return;
+        }
+        let mut keep = vec![false; n];
+        let pred_info = &self.pred_info;
+        let mut mark = |p: &str| {
+            if let Some(info) = pred_info.get(p) {
+                keep[info.stratum] = true;
+            }
+        };
+        for r in roots {
+            mark(r.as_ref());
+        }
+        for c in &self.constraints {
+            visit_constraint_preds(c, &mut |p| mark(p));
+        }
+        // Dependencies precede dependents, so one backward pass closes
+        // the set transitively.
+        for i in (0..n).rev() {
+            if keep[i] {
+                for &d in &self.stratum_deps[i] {
+                    keep[d] = true;
+                }
+            }
+        }
+        if keep.iter().all(|&k| k) {
+            return;
+        }
+        let mut new_index = vec![usize::MAX; n];
+        for (next, i) in (0..n).filter(|&i| keep[i]).enumerate() {
+            new_index[i] = next;
+        }
+        fn retain_kept<T>(items: &mut Vec<T>, keep: &[bool]) {
+            let mut i = 0;
+            items.retain(|_| {
+                i += 1;
+                keep[i - 1]
+            });
+        }
+        retain_kept(&mut self.strata, &keep);
+        retain_kept(&mut self.stratum_reads, &keep);
+        retain_kept(&mut self.stratum_deps, &keep);
+        for deps in &mut self.stratum_deps {
+            for d in deps.iter_mut() {
+                *d = new_index[*d];
+            }
+        }
+        self.pred_info.retain(|_, info| {
+            info.stratum = new_index[info.stratum];
+            info.stratum != usize::MAX
+        });
+        let pred_info = &self.pred_info;
+        self.rules.retain(|p, _| pred_info.contains_key(p));
+    }
 }
 
 /// Visit every predicate name referenced by a formula (pre-order).
@@ -602,5 +673,131 @@ mod tests {
     fn abs_param_vars() {
         assert_eq!(AbsParam::Val(3).var(), Some(3));
         assert_eq!(AbsParam::Fixed(Value::int(0)).var(), None);
+    }
+
+    /// A library with three independent parts: what `output` reads, what
+    /// only the constraint reads (a derived relation and a demand-mode
+    /// predicate, which in turn reads a derived relation), and rules
+    /// nothing reads.
+    const LIB: &str = "\
+        def Edge(x, y) : E(x, y)\n\
+        def Reach(x, y) : Edge(x, y)\n\
+        def Reach(x, y) : exists((z) | Edge(x, z) and Reach(z, y))\n\
+        def output(x) : Reach(x, _)\n\
+        def Limit(l) : L(l)\n\
+        def Shifted(x, y) : exists((l) | Limit(l) and y = x + l)\n\
+        def Big(x) : V(x) and x > 10\n\
+        ic bounded(x) requires Big(x) implies exists((y) | Shifted(x, y) and y < 100)\n\
+        def Unread(x) : E(x, _) and not F(x)\n\
+        def AlsoUnread(x, n) : n = count[Unread] and Unread(x)\n";
+
+    fn stratum_of<'m>(m: &'m Module, p: &str) -> &'m Stratum {
+        &m.strata[m.pred_info[p].stratum]
+    }
+
+    fn preds_of(m: &Module) -> std::collections::BTreeSet<String> {
+        m.pred_info.keys().map(|p| p.to_string()).collect()
+    }
+
+    #[test]
+    fn prune_keeps_the_output_and_constraint_cones() {
+        let full = crate::compile(LIB).unwrap();
+        assert!(matches!(
+            full.pred_info["Shifted"].mode,
+            EvalMode::Demand { .. }
+        ));
+        let mut m = full.clone();
+        m.prune_to(["output", "insert", "delete"]);
+        let expected: std::collections::BTreeSet<String> =
+            ["Edge", "Reach", "output", "Limit", "Shifted", "Big"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+        assert_eq!(preds_of(&m), expected);
+        let rule_heads: std::collections::BTreeSet<String> =
+            m.rules.keys().map(|p| p.to_string()).collect();
+        assert_eq!(rule_heads, expected);
+        assert_eq!(m.constraints, full.constraints);
+        assert_eq!(m.params, full.params);
+        // Strata are re-indexed: every kept predicate points at the
+        // stratum holding it, with the same members, read sets and flags
+        // as in the full module.
+        assert_eq!(m.strata.len(), expected.len());
+        for (p, info) in &m.pred_info {
+            assert!(m.strata[info.stratum].preds.contains(p), "{p}");
+            assert_eq!(info.mode, full.pred_info[p].mode, "{p}");
+            let (old, new) = (stratum_of(&full, p), stratum_of(&m, p));
+            assert_eq!(old.preds, new.preds);
+            assert_eq!((old.recursive, old.monotone), (new.recursive, new.monotone));
+            assert_eq!(
+                full.stratum_reads[full.pred_info[p].stratum],
+                m.stratum_reads[info.stratum]
+            );
+        }
+        // The DAG is remapped, still topological, and keeps the same edges.
+        assert_eq!(m.stratum_deps.len(), m.strata.len());
+        for (i, deps) in m.stratum_deps.iter().enumerate() {
+            assert!(deps.iter().all(|&d| d < i), "stratum {i}: {deps:?}");
+            assert!(deps.windows(2).all(|w| w[0] < w[1]), "sorted: {deps:?}");
+            let old_i = full.pred_info[&m.strata[i].preds[0]].stratum;
+            let remapped: Vec<usize> = full.stratum_deps[old_i]
+                .iter()
+                .map(|&d| m.pred_info[&full.strata[d].preds[0]].stratum)
+                .collect();
+            assert_eq!(deps, &remapped);
+        }
+    }
+
+    #[test]
+    fn pruned_dependent_cone_agrees_with_the_full_module() {
+        let full = crate::compile(LIB).unwrap();
+        let mut m = full.clone();
+        m.prune_to(["output"]);
+        let cone_preds = |m: &Module, touched: &[&str]| {
+            let touched: std::collections::BTreeSet<Name> =
+                touched.iter().map(|t| rel_core::name(*t)).collect();
+            m.dependent_cone(&touched)
+                .into_iter()
+                .flat_map(|i| m.strata[i].preds.iter().map(|p| p.to_string()))
+                .collect::<std::collections::BTreeSet<_>>()
+        };
+        let kept = preds_of(&m);
+        for touched in [
+            &["E"][..],
+            &["L"],
+            &["V"],
+            &["F"],
+            &["E", "F"],
+            &["Reach"],
+            &["L", "V", "Unrelated"],
+        ] {
+            let expected: std::collections::BTreeSet<String> = cone_preds(&full, touched)
+                .intersection(&kept)
+                .cloned()
+                .collect();
+            assert_eq!(cone_preds(&m, touched), expected, "touched {touched:?}");
+        }
+    }
+
+    #[test]
+    fn prune_ignores_unknown_roots_and_keeps_hand_built_modules() {
+        let full = crate::compile("def output(x) : R(x)\ndef Other(x) : S(x)").unwrap();
+        let mut m = full.clone();
+        m.prune_to(["output", "R", "NoSuchRelation"]);
+        assert_eq!(preds_of(&m), ["output".to_string()].into_iter().collect());
+        assert_eq!(m.pred_info["output"].stratum, 0);
+        // Keeping everything is a no-op.
+        let mut all = full.clone();
+        all.prune_to(["output", "Other"]);
+        assert_eq!(preds_of(&all), preds_of(&full));
+        // Without the DAG nothing can be proven unread: nothing goes.
+        let mut hand = full.clone();
+        hand.stratum_deps.clear();
+        hand.prune_to(["output"]);
+        assert_eq!(preds_of(&hand), preds_of(&full));
+        // No roots at all: only what constraints read survives.
+        let mut none = full;
+        none.prune_to(std::iter::empty::<&str>());
+        assert!(none.strata.is_empty() && none.rules.is_empty());
     }
 }
