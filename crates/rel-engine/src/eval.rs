@@ -82,6 +82,9 @@ pub struct EvalCtx<'a> {
     /// any — cached here so the per-rule/per-join hot paths pay an
     /// `Option` check instead of an `RwLock` read.
     profile: Option<Arc<ProfileSink>>,
+    /// Probe atoms by binary search over a prefix run instead of building
+    /// a hash index (see [`EvalCtx::probing_prefixes`]).
+    probe_prefixes: bool,
 }
 
 /// Key of a demand-evaluation memo entry: predicate and bound prefix.
@@ -309,18 +312,27 @@ impl SharedIndexCache {
         self.read().is_empty() && self.tries_read().is_empty()
     }
 
-    /// Drop every entry that no longer matches the given relation state
-    /// (the relation is gone — e.g. a Δ overlay — or its generation has
-    /// moved on). The fixpoint engine calls this when a materialize run
-    /// finishes, so a long-lived session retains only indexes that the
-    /// *next* run can actually hit, instead of accumulating dead ones.
+    /// Drop the entries a finished materialize run made dead: every entry
+    /// over a Δ overlay (scratch relations that never outlive the run)
+    /// and every entry over a relation of the run's final state `rels`
+    /// built at a generation other than its final one (superseded
+    /// iterates, moved base relations). The fixpoint engine calls this
+    /// when a run finishes, so a long-lived session does not accumulate
+    /// dead indexes.
+    ///
+    /// Entries over relations *absent* from `rels` stay: they belong to
+    /// other modules sharing the cache (a session's query, transaction
+    /// and watch modules), and the next run of those modules can still
+    /// hit them. Each `(relation, key)` slot holds one entry that a
+    /// rebuild replaces in place, so kept entries stay bounded by the
+    /// relations and access shapes the session uses.
     pub fn prune_stale(&self, rels: &BTreeMap<Name, Relation>) {
-        self.write().retain(|(name, _, _), (built_gen, _)| {
-            rels.get(name).map(Relation::generation) == Some(*built_gen)
-        });
-        self.tries_write().retain(|(name, _), (built_gen, _)| {
-            rels.get(name).map(Relation::generation) == Some(*built_gen)
-        });
+        let live = |name: &Name, built_gen: u64| {
+            !crate::fixpoint::is_delta_name(name)
+                && rels.get(name).is_none_or(|r| r.generation() == built_gen)
+        };
+        self.write().retain(|(name, _, _), (built_gen, _)| live(name, *built_gen));
+        self.tries_write().retain(|(name, _), (built_gen, _)| live(name, *built_gen));
     }
 
     /// Drop every index over any of the named relations that was built
@@ -391,7 +403,23 @@ impl<'a> EvalCtx<'a> {
             demand_stacks: Mutex::new(HashMap::new()),
             indexes: cache,
             profile,
+            probe_prefixes: false,
         }
+    }
+
+    /// This context probes a materialized atom whose bound arguments
+    /// start with a column prefix by binary search over the sorted rows
+    /// — when no hash index over the relation's current generation is
+    /// cached and the batch is small next to the relation — instead of
+    /// building a fresh index. For evaluations that touch a few keys of
+    /// relations that just changed (the incremental engine's
+    /// key-restricted re-evaluation), where an index build would cost
+    /// O(|relation|) and never be reused. General evaluation keeps
+    /// building indexes: later statements over the same generation reuse
+    /// them.
+    pub(crate) fn probing_prefixes(mut self) -> Self {
+        self.probe_prefixes = true;
+        self
     }
 
     // ------------------------------------------------------------------
@@ -497,8 +525,19 @@ impl<'a> EvalCtx<'a> {
     /// tuples. Derived tuples are buffered and the relation is built once
     /// (sort + dedup bulk construction) instead of tree-inserting each.
     pub fn eval_rule(&self, rule: &Rule, seed: Env) -> RelResult<Relation> {
+        self.eval_rule_seeded(rule, vec![seed])
+    }
+
+    /// [`Self::eval_rule`] over a batch of seed environments at once: the
+    /// union of the rule's head tuples under each seed. One batch shares
+    /// every index lookup and join step, so seeding many bindings (the
+    /// incremental engine's key-restricted re-evaluation) costs one pass
+    /// over the body, not one per seed.
+    pub(crate) fn eval_rule_seeded(&self, rule: &Rule, seeds: Vec<Env>) -> RelResult<Relation> {
         let mut out = Vec::new();
-        self.eval_rule_into(rule, &rule.body, seed, &mut out)?;
+        if !seeds.is_empty() {
+            self.eval_rule_into(rule, &rule.body, seeds, &mut out)?;
+        }
         Ok(Relation::from_tuples(out))
     }
 
@@ -506,7 +545,7 @@ impl<'a> EvalCtx<'a> {
         &self,
         rule: &Rule,
         body: &RExpr,
-        seed: Env,
+        seeds: Vec<Env>,
         out: &mut Vec<Tuple>,
     ) -> RelResult<()> {
         let mut gen: Vec<Formula> = Vec::new();
@@ -515,21 +554,26 @@ impl<'a> EvalCtx<'a> {
                 gen.push(Formula::Member { term: Term::Var(*v), of: dom.clone() });
             }
         }
+        // Fused kernels serve only top-level materialization: one seed
+        // with nothing bound (demand evaluation, constraint checking and
+        // key-restricted maintenance take the generic path).
+        let unseeded =
+            matches!(seeds.as_slice(), [s] if (0..s.len()).all(|v| s.get(v as Var).is_none()));
         match body {
             RExpr::Union(branches) => {
                 for br in branches {
-                    self.eval_rule_into(rule, br, seed.clone(), out)?;
+                    self.eval_rule_into(rule, br, seeds.clone(), out)?;
                 }
                 Ok(())
             }
             RExpr::OfFormula(f) => {
-                if self.try_fused_formula(rule, f, &seed, out) {
+                if unseeded && self.try_fused_formula(rule, f, out) {
                     self.note_fused_rule();
                     return Ok(());
                 }
                 self.note_env_rule();
                 gen.push((**f).clone());
-                let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
+                let envs = self.eval_formula(&Formula::conj(gen), seeds)?;
                 for env in envs {
                     if let Some(t) = env.head_tuple(&rule.params) {
                         out.push(t);
@@ -540,7 +584,7 @@ impl<'a> EvalCtx<'a> {
             RExpr::Where { body: inner, cond } => {
                 self.note_env_rule();
                 gen.push((**cond).clone());
-                let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
+                let envs = self.eval_formula(&Formula::conj(gen), seeds)?;
                 for env in envs {
                     for (env2, rel) in self.eval_open(inner, &env)? {
                         self.emit(&rule.params, &env2, &rel, out)?;
@@ -549,12 +593,14 @@ impl<'a> EvalCtx<'a> {
                 Ok(())
             }
             other => {
-                if let Some(res) = self.try_fused_open(rule, other, &seed, out) {
-                    self.note_fused_rule();
-                    return res;
+                if unseeded {
+                    if let Some(res) = self.try_fused_open(rule, other, out) {
+                        self.note_fused_rule();
+                        return res;
+                    }
                 }
                 self.note_env_rule();
-                let envs = self.eval_formula(&Formula::conj(gen), vec![seed])?;
+                let envs = self.eval_formula(&Formula::conj(gen), seeds)?;
                 for env in envs {
                     for (env2, rel) in self.eval_open(other, &env)? {
                         self.emit(&rule.params, &env2, &rel, out)?;
@@ -590,19 +636,8 @@ impl<'a> EvalCtx<'a> {
     /// drag every eligible conjunction through the leapfrog kernel for
     /// testing. Returns `false` (emitting nothing) when the shape is
     /// ineligible and the generic evaluator should proceed.
-    fn try_fused_formula(
-        &self,
-        rule: &Rule,
-        f: &Formula,
-        seed: &Env,
-        out: &mut Vec<Tuple>,
-    ) -> bool {
+    fn try_fused_formula(&self, rule: &Rule, f: &Formula, out: &mut Vec<Tuple>) -> bool {
         if !columnar_enabled() || self.indexes.wcoj_mode() == WcojMode::Force {
-            return false;
-        }
-        // Only top-level materialization: a seeded env (demand evaluation,
-        // constraint checking) takes the generic path.
-        if (0..seed.len()).any(|v| seed.get(v as Var).is_some()) {
             return false;
         }
         // Head: plain first-order variables (repeats allowed).
@@ -735,14 +770,9 @@ impl<'a> EvalCtx<'a> {
         &self,
         rule: &Rule,
         body: &RExpr,
-        seed: &Env,
         out: &mut Vec<Tuple>,
     ) -> Option<RelResult<()>> {
         if !columnar_enabled() || self.indexes.wcoj_mode() == WcojMode::Force {
-            return None;
-        }
-        // Only top-level materialization; a seeded env takes the generic path.
-        if (0..seed.len()).any(|v| seed.get(v as Var).is_some()) {
             return None;
         }
         match body {
@@ -1896,6 +1926,9 @@ impl<'a> EvalCtx<'a> {
                 })
                 .map(|(i, _)| i)
                 .collect();
+            if let Some(out) = self.exec_atom_by_prefix(pred, args, &key_positions, &envs) {
+                return Ok(out);
+            }
             let index = self.index_for(pred, &key_positions, args.len());
             let mut out = Vec::new();
             for env in envs {
@@ -1942,6 +1975,51 @@ impl<'a> EvalCtx<'a> {
             }
         }
         Ok(out)
+    }
+
+    /// Under [`EvalCtx::probing_prefixes`], probe a materialized atom by
+    /// binary search when its bound argument positions start with a
+    /// column prefix, no hash index over the relation's current
+    /// generation is cached, and the batch is small next to the relation:
+    /// each environment then reads the one sorted run of rows sharing its
+    /// prefix values (strict equality, like the index) instead of the
+    /// batch paying a fresh O(|relation|) index build. `None` leaves the
+    /// atom to the index path. Yields the same environments, in the same
+    /// order, as the index path.
+    fn exec_atom_by_prefix(
+        &self,
+        pred: &Name,
+        args: &[Term],
+        key_positions: &[usize],
+        envs: &[Env],
+    ) -> Option<Vec<Env>> {
+        if !self.probe_prefixes {
+            return None;
+        }
+        let prefix_len = key_positions.iter().enumerate().take_while(|(i, p)| i == *p).count();
+        if prefix_len == 0 {
+            return None;
+        }
+        let rel = self.rels.get(pred)?;
+        if envs.len().saturating_mul(PREFIX_PROBE_RATIO) > rel.len() {
+            return None;
+        }
+        let cache_key = (pred.clone(), key_positions.to_vec(), args.len());
+        if self.indexes.read().get(&cache_key).is_some_and(|(g, _)| *g == rel.generation()) {
+            return None;
+        }
+        let mut out = Vec::new();
+        for env in envs {
+            let prefix: Option<Vec<Value>> =
+                args[..prefix_len].iter().map(|t| env.term_value(t)).collect();
+            let rows = match &prefix {
+                Some(prefix) => prefix_run(rel, prefix),
+                // This env lacks a binding the batch generally has: scan.
+                None => rel.as_slice(),
+            };
+            out.extend(rows.iter().filter_map(|t| self.unify_atom(args, t, env)));
+        }
+        Some(out)
     }
 
     /// Build (or fetch) a hash index of `pred` keyed on `positions`,
@@ -2311,9 +2389,18 @@ impl<'a> EvalCtx<'a> {
             let rel = self.eval_demand(pred, &prefix)?;
             return Ok(self.group_suffixes(args, rel.iter(), env));
         }
-        // Materialized.
+        // Materialized: only the run of rows sharing the bound leading
+        // arguments can match.
         let rel = self.relation(pred);
-        Ok(self.group_suffixes(args, rel.iter(), env))
+        let mut prefix = Vec::new();
+        for t in args {
+            // Constants end the prefix: the matcher compares them with
+            // numeric promotion, the row order strictly.
+            let Term::Var(v) = t else { break };
+            let Some(val) = env.value(*v) else { break };
+            prefix.push(val.clone());
+        }
+        Ok(self.group_suffixes(args, prefix_run(&rel, &prefix).iter(), env))
     }
 
     /// Match args as prefixes over `tuples`, grouping suffixes by the
@@ -2633,6 +2720,20 @@ fn rel_cmp_holds(op: CmpOp, l: &Relation, r: &Relation) -> bool {
 
 fn stuck_cmp() -> RelError {
     RelError::internal("comparison with unbound sides at runtime (safety analysis gap)")
+}
+
+/// [`EvalCtx::exec_atom_by_prefix`] probes by binary search only while
+/// the batch has at most one environment per this many rows of the
+/// relation; larger batches amortize a hash index build.
+const PREFIX_PROBE_RATIO: usize = 16;
+
+/// The rows of `rel` that start with `prefix`: one contiguous run of the
+/// sorted rows, found by binary search.
+fn prefix_run<'r>(rel: &'r Relation, prefix: &[Value]) -> &'r [Tuple] {
+    let rows = rel.as_slice();
+    let start = rows.partition_point(|t| t.values() < prefix);
+    let len = rows[start..].partition_point(|t| t.starts_with(prefix));
+    &rows[start..start + len]
 }
 
 /// Variables bound in *every* environment of the batch.

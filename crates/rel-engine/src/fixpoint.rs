@@ -56,6 +56,11 @@ pub(crate) fn delta_name(p: &Name) -> Name {
     rel_core::name(format!("Δ{p}"))
 }
 
+/// Is `name` a Δ overlay made by [`delta_name`]?
+pub(crate) fn is_delta_name(name: &str) -> bool {
+    name.starts_with('Δ')
+}
+
 /// Materialize every `Materialize`-mode predicate of the module, stratum
 /// by stratum, starting from the database's base relations. Returns the
 /// full relation state (EDB ∪ IDB).
@@ -126,9 +131,8 @@ pub fn materialize_with_threads(
             eval_stratum(module, &mut rels, stratum, &cache)?;
         }
     }
-    // Keep the cache bounded for long-lived sessions: only indexes that
-    // still match the final relation state (EDB + fixpoint results) can
-    // be hit again; Δ-overlay and superseded-iteration indexes cannot.
+    // Keep the cache bounded for long-lived sessions: Δ-overlay and
+    // superseded-iteration indexes can never be hit again.
     cache.prune_stale(&rels);
     Ok(rels)
 }
@@ -550,7 +554,7 @@ pub fn count_scc_refs(rule: &Rule, scc: &BTreeSet<&Name>) -> usize {
 /// traversal serves dependency analysis here and parameter collection in
 /// `rel-sema`.
 pub fn visit_rule(rule: &Rule, f: &mut impl FnMut(&Name)) {
-    rel_sema::ir::visit_rule_preds(rule, f);
+    rel_sema::ir::visit_rule_preds(rule, &mut |p, _| f(p));
 }
 
 /// Produce the rule variant whose `focus`-th SCC reference reads the Δ

@@ -34,35 +34,53 @@
 //!   inputs against the pre-state (cheap: generation, then length, then
 //!   cached fingerprint, before any element-wise walk) and reuses the
 //!   pre-state result when nothing moved.
-//! * **Monotone recursive strata with grown inputs** — *delta-seeded
-//!   semi-naive restart*. The SCC relations are seeded with their
-//!   pre-state fixpoint (the "current" overlay); for every changed input
-//!   `I` the engine installs `ΔI = new(I) ∖ old(I)` and evaluates, for
-//!   each rule, one variant per occurrence of a changed input with that
-//!   occurrence reading `ΔI` (the new/full formulation — other
-//!   occurrences read the full new value). The resulting novel tuples
-//!   become the seed Δ of the ordinary semi-naive loop, which then runs
-//!   to fixpoint exactly as a from-scratch evaluation would — but
-//!   starting from the pre-state instead of from nothing. This is sound
-//!   precisely when every changed input is read only *positively* and
-//!   only **grew**: monotonicity guarantees the pre-state fixpoint is
-//!   contained in the new one, and the least fixpoint above a subset of
-//!   the answer is the answer.
-//! * **Everything else in the cone** — non-monotone strata (negation,
-//!   aggregation, partial-fixpoint iteration), non-recursive strata
-//!   (already a single pass), strata whose own EDB seed was touched, and
-//!   monotone strata facing *deletions* or changed negatively-read
-//!   inputs are recomputed, but only that stratum, from upstream results
-//!   that were themselves reused or incrementally maintained. Deletion
-//!   deltas through recursion (counting / DRed) are future work — the
-//!   fallback keeps them correct today.
+//! * **Monotone strata with grown inputs** — *delta-seeded restart*
+//!   ([`StratumAction::DeltaRestarted`]). It applies when every changed
+//!   input is read only *positively* and only **grew**. The stratum's
+//!   relations are seeded with their pre-state value; for every changed
+//!   input `I` the engine installs `ΔI = new(I) ∖ old(I)` and evaluates,
+//!   for each rule, one variant per occurrence of a changed input with
+//!   that occurrence reading `ΔI` (the new/full formulation — other
+//!   occurrences read the full new value). The novel tuples are added to
+//!   the seeded value. For a non-recursive stratum that single pass over
+//!   the input deltas is the whole update; for a recursive one they
+//!   become the seed Δ of the ordinary semi-naive loop, which runs to
+//!   fixpoint exactly as a from-scratch evaluation would — but starting
+//!   from the pre-state instead of from nothing. Monotonicity guarantees
+//!   the pre-state result is contained in the new one, and the least
+//!   fixpoint above a subset of the answer is the answer.
+//! * **Non-recursive strata facing deletions or non-monotone reads** —
+//!   *key-restricted re-evaluation* ([`StratumAction::KeyRestricted`]).
+//!   Analysis records, per input, the head positions every occurrence of
+//!   it binds with a bare head variable — positive or negated atom,
+//!   partial application (also inside `reduce` or `<++`), `x in R`
+//!   domain ([`rel_sema::ir::KeyBinding`]). When the changed inputs share
+//!   a non-empty key `K`, the head tuples outside the keys their added
+//!   and removed tuples carry cannot have moved: the engine projects
+//!   those tuples onto `K`, re-evaluates the rules with the affected keys
+//!   seeded into the environment, and splices
+//!   `new = old − σ_{K ∈ keys}(old) ∪ restricted`. Grouped aggregates,
+//!   overrides with a default and negation keyed by the head are
+//!   maintained this way. When the affected keys are at least as many as
+//!   the distinct keys of the old result, the stratum recomputes instead.
+//! * **Everything else in the cone** is recomputed
+//!   ([`StratumAction::Recomputed`]), but only that stratum, from
+//!   upstream results that were themselves reused or maintained:
+//!   recursive strata facing deletions or changed negatively-read inputs
+//!   (deletion deltas through recursion — counting / DRed — are future
+//!   work), non-monotone recursive strata (partial-fixpoint iteration),
+//!   non-recursive strata whose changed inputs share no key, strata whose
+//!   own EDB seed was touched, and strata reading a demand-driven
+//!   predicate the change reaches.
 //!
-//! Because every path either reuses a provably unchanged value or re-runs
-//! the stock evaluator over correct inputs, the final relation state —
+//! Because every path either reuses a provably unchanged value, adds
+//! exactly the derivations that use a new tuple, re-derives exactly the
+//! head keys a changed tuple can reach, or re-runs the stock evaluator
+//! over correct inputs, the final relation state —
 //! contents *and* iteration order, since relations are sorted sets — is
 //! byte-identical to full re-materialization (the randomized
-//! `incremental_equivalence` suite drives inserts *and* deletes through
-//! both paths and compares flattened states).
+//! `incremental_equivalence` and `delta_maintenance` suites drive inserts
+//! *and* deletes through both paths and compare flattened states).
 //!
 //! The subsystem is wired into [`crate::Session`] (a bounded per-module
 //! fixpoint cache makes repeated queries and `Session::transact` calls
@@ -73,15 +91,16 @@
 //! [`crate::Session::set_incremental`]) falls back to full
 //! re-materialization everywhere.
 
-use crate::env::Env;
+use crate::env::{Env, EnvVal};
 use crate::eval::{EvalCtx, SharedIndexCache};
 use crate::fixpoint::{
     count_scc_refs, delta_name, delta_variant, eval_stratum, materialize_with_cache,
     scc_delta_variants, semi_naive_loop,
 };
 use crate::profile::{StratumAction, StratumProfile};
-use rel_core::{Database, Name, RelResult, Relation};
-use rel_sema::ir::{EvalMode, Module, Stratum};
+use rel_core::{Database, Name, RelResult, Relation, Tuple, Value};
+use rel_sema::ir::{AbsParam, EvalMode, Module, Rule, Stratum, StratumReads};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The default incremental-maintenance switch for this process: the
@@ -156,9 +175,13 @@ pub struct IncrementalStats {
     /// Strata reused wholesale from the pre-state (out of the cone, or in
     /// the cone with value-identical inputs): O(1) per relation.
     pub reused: usize,
-    /// Monotone recursive strata restarted semi-naively from the
-    /// pre-state fixpoint with input-delta seeding.
+    /// Monotone strata restarted from the pre-state with input-delta
+    /// seeding (semi-naively to the fixpoint when recursive, a single pass
+    /// over the input deltas otherwise).
     pub delta_seeded: usize,
+    /// Non-recursive strata re-derived only at the head keys their
+    /// changed inputs carry, the rest of the old result kept.
+    pub key_restricted: usize,
     /// Strata re-evaluated from scratch (over reused/maintained inputs).
     pub recomputed: usize,
 }
@@ -198,6 +221,7 @@ pub fn materialize_incremental_with_stats(
     let mut rels: BTreeMap<Name, Relation> =
         db.iter().map(|(name, r)| (name.clone(), r.clone())).collect();
     let mut stats = IncrementalStats::default();
+    let mut diffs = BTreeMap::new();
 
     // Walk the strata in dependency order: out-of-cone results are the
     // pre-state's (O(1) pointer bumps), in-cone strata are maintained.
@@ -208,7 +232,9 @@ pub fn materialize_incremental_with_stats(
     let sink = cache.profile();
     for (i, stratum) in module.strata.iter().enumerate() {
         if cone.contains(&i) {
-            maintain_stratum(module, &mut rels, i, pre, &touched, &cone, &cache, &mut stats)?;
+            maintain_stratum(
+                module, &mut rels, i, pre, &touched, &cone, &mut diffs, &cache, &mut stats,
+            )?;
         } else if pre_covers(module, pre, stratum) {
             for p in &stratum.preds {
                 if let Some(r) = pre.state.get(p) {
@@ -242,6 +268,7 @@ fn note_incremental_stats(stats: &IncrementalStats) {
         let r = crate::metrics::registry();
         r.strata_reused.add(stats.reused as u64);
         r.strata_delta_restarted.add(stats.delta_seeded as u64);
+        r.strata_key_restricted.add(stats.key_restricted as u64);
         r.strata_recomputed.add(stats.recomputed as u64);
     }
 }
@@ -271,6 +298,44 @@ fn pre_covers(module: &Module, pre: &PreState, stratum: &Stratum) -> bool {
     })
 }
 
+/// One changed input's tuple-level change since the pre-state, computed
+/// at most once per maintenance run (several strata read the same
+/// input).
+struct InputDiff {
+    added: Relation,
+    removed: Relation,
+}
+
+impl InputDiff {
+    fn between(old: &Relation, new: &Relation) -> InputDiff {
+        let added = new.minus(old);
+        // A length check proves "no deletion" without a second walk.
+        let removed = if old.len() + added.len() == new.len() {
+            Relation::new()
+        } else {
+            old.minus(new)
+        };
+        InputDiff { added, removed }
+    }
+}
+
+/// The diff of `input` between the pre-state and `rels`, computed on
+/// first use — only once a delta path still depends on it, so a stratum
+/// that a small input already rules out never walks a large one.
+fn input_diff<'d>(
+    diffs: &'d mut BTreeMap<Name, InputDiff>,
+    pre: &PreState,
+    rels: &BTreeMap<Name, Relation>,
+    input: &Name,
+) -> &'d InputDiff {
+    diffs.entry(input.clone()).or_insert_with(|| {
+        InputDiff::between(
+            &pre.state.get(input).cloned().unwrap_or_default(),
+            &rels.get(input).cloned().unwrap_or_default(),
+        )
+    })
+}
+
 /// Bring one in-cone stratum up to date against `rels` (which already
 /// holds the new base relations and every earlier stratum's result).
 #[allow(clippy::too_many_arguments)]
@@ -281,6 +346,7 @@ fn maintain_stratum(
     pre: &PreState,
     touched: &BTreeSet<Name>,
     cone: &BTreeSet<usize>,
+    diffs: &mut BTreeMap<Name, InputDiff>,
     cache: &SharedIndexCache,
     stats: &mut IncrementalStats,
 ) -> RelResult<()> {
@@ -290,7 +356,7 @@ fn maintain_stratum(
 
     // Did a touched base relation feed one of this stratum's own EDB
     // seeds? Its old base contribution cannot be separated from the
-    // pre-state fixpoint, so neither reuse nor delta seeding applies.
+    // pre-state fixpoint, so neither reuse nor delta maintenance applies.
     let own_touched = stratum.preds.iter().any(|p| touched.contains(p));
 
     // A reusable pre-state must actually cover the stratum's materialized
@@ -300,11 +366,11 @@ fn maintain_stratum(
     // Diff this stratum's inputs against the pre-state. Demand-driven
     // inputs are not materialized in `rels`; if such an input's stratum
     // sits in the cone its call-time value may differ in ways we cannot
-    // diff, which blocks both reuse and delta seeding.
+    // diff, which blocks both reuse and delta maintenance.
     let mut demand_blocked = false;
-    let mut changed: BTreeMap<&Name, (Relation, Relation)> = BTreeMap::new();
+    let mut changed: BTreeSet<&Name> = BTreeSet::new();
     for input in reads.all() {
-        if pred_set.contains(input) || changed.contains_key(input) {
+        if pred_set.contains(input) || changed.contains(input) {
             continue;
         }
         if let Some(info) = module.pred_info.get(input) {
@@ -313,14 +379,21 @@ fn maintain_stratum(
                 continue;
             }
         }
-        let old = pre.state.get(input).cloned().unwrap_or_default();
-        let new = rels.get(input).cloned().unwrap_or_default();
-        if old != new {
-            changed.insert(input, (old, new));
+        if pre.state.get(input).cloned().unwrap_or_default()
+            != rels.get(input).cloned().unwrap_or_default()
+        {
+            changed.insert(input);
         }
     }
 
     let sink = cache.profile();
+    // Demand-only strata are evaluated at call sites, never stored.
+    let materialized = stratum.preds.iter().all(|p| {
+        matches!(
+            module.pred_info.get(p).map(|i| &i.mode),
+            Some(EvalMode::Materialize) | None
+        )
+    });
     if pre_complete && !own_touched && !demand_blocked {
         if changed.is_empty() {
             // Every input re-derived to its old value: so does this
@@ -336,40 +409,45 @@ fn maintain_stratum(
             }
             return Ok(());
         }
-        if stratum.recursive && stratum.monotone {
-            // Delta-seeded restart applies when every changed input is
-            // read only positively and only grew (|new ∖ old| makes the
-            // superset check a length comparison).
-            let mut deltas: BTreeMap<Name, Relation> = BTreeMap::new();
-            let mut eligible = true;
-            for (input, (old, new)) in &changed {
-                if reads.reads_negatively(input) {
-                    eligible = false;
-                    break;
-                }
-                let grown = new.minus(old);
-                if old.len() + grown.len() != new.len() {
-                    eligible = false; // a tuple was deleted: DRed is future work
-                    break;
-                }
-                deltas.insert((*input).clone(), grown);
+        let before = sink.as_ref().map(|s| s.counts());
+        let start = std::time::Instant::now();
+        // Which delta path could apply, decided before paying for input
+        // diffs (each computed on first use). A base relation under the
+        // predicate's own name would need its keyed rows spliced back
+        // in: such strata take no keyed path.
+        let positive = changed.iter().all(|&i| !reads.reads_negatively(i));
+        let keyed = !stratum.recursive
+            && changed.iter().all(|&i| reads.key_binding(i).is_some())
+            && rels.get(&stratum.preds[0]).is_none_or(Relation::is_empty);
+        let action = if !materialized || !stratum.monotone {
+            None
+        } else if positive
+            && changed.iter().all(|&i| input_diff(diffs, pre, rels, i).removed.is_empty())
+        {
+            // Every changed input is read only positively and only grew.
+            let deltas = changed.iter().map(|&i| (i.clone(), diffs[i].added.clone())).collect();
+            semi_naive_restart(module, rels, stratum, pre, deltas, cache)?;
+            stats.delta_seeded += 1;
+            Some(StratumAction::DeltaRestarted)
+        } else if keyed
+            && key_restricted(module, rels, stratum, reads, pre, &changed, diffs, cache)?
+        {
+            stats.key_restricted += 1;
+            Some(StratumAction::KeyRestricted)
+        } else {
+            None
+        };
+        if let Some(action) = action {
+            if let (Some(sink), Some(before)) = (&sink, before) {
+                sink.push_stratum(StratumProfile {
+                    preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
+                    recursive: stratum.recursive,
+                    action,
+                    wall: start.elapsed(),
+                    counts: sink.counts().since(&before),
+                });
             }
-            if eligible {
-                let before = sink.as_ref().map(|s| s.counts());
-                let start = std::time::Instant::now();
-                semi_naive_restart(module, rels, &stratum.preds, pre, deltas, cache)?;
-                stats.delta_seeded += 1;
-                if let (Some(sink), Some(before)) = (&sink, before) {
-                    sink.push_stratum(StratumProfile {
-                        preds: stratum.preds.iter().map(|p| p.to_string()).collect(),
-                        recursive: stratum.recursive,
-                        action: StratumAction::DeltaRestarted,
-                        wall: start.elapsed(),
-                        counts: sink.counts().since(&before),
-                    });
-                }
-                return Ok(());
-            }
+            return Ok(());
         }
     }
 
@@ -383,20 +461,22 @@ fn maintain_stratum(
     Ok(())
 }
 
-/// Restart a monotone recursive stratum's semi-naive fixpoint from the
-/// pre-state: seed the SCC relations with their previous fixpoint,
-/// derive the initial Δ from the changed inputs' deltas (one rule
-/// variant per changed-input occurrence, that occurrence reading `ΔI`),
-/// and hand off to the stock semi-naive loop.
+/// Restart a monotone stratum from the pre-state: seed its relations with
+/// their previous value, derive the initial Δ from the changed inputs'
+/// deltas (one rule variant per changed-input occurrence, that
+/// occurrence reading `ΔI`), and — for a recursive stratum — hand off to
+/// the stock semi-naive loop. A non-recursive stratum is done after that
+/// single pass over the input deltas.
 fn semi_naive_restart(
     module: &Module,
     rels: &mut BTreeMap<Name, Relation>,
-    preds: &[Name],
+    stratum: &Stratum,
     pre: &PreState,
     input_deltas: BTreeMap<Name, Relation>,
     cache: &SharedIndexCache,
 ) -> RelResult<()> {
     debug_assert!(!input_deltas.is_empty());
+    let preds = &stratum.preds;
     // The accumulated "current" value starts at the previous fixpoint —
     // guaranteed a subset of the new one by monotonicity in the grown
     // inputs.
@@ -435,8 +515,137 @@ fn semi_naive_restart(
             rels.get_mut(p).expect("seeded above").absorb(d);
         }
     }
+    if !stratum.recursive {
+        return Ok(());
+    }
     let variants = scc_delta_variants(module, preds);
     semi_naive_loop(module, rels, preds, cache, &variants, delta)
+}
+
+/// Maintain a non-recursive stratum by re-deriving only the head keys
+/// its changed inputs can affect: intersect the changed inputs'
+/// [`rel_sema::ir::KeyBinding`]s to a common key `K`, project every
+/// added or removed input tuple onto `K` through each occurrence's
+/// columns, re-evaluate the rules with those keys seeded, and splice:
+/// `new = old − σ_{K ∈ keys}(old) ∪ restricted`.
+///
+/// Returns `false` (having changed nothing) when the inputs share no key
+/// or when the affected keys are at least as many as the distinct keys
+/// of the old result — re-deriving them all would cost a recomputation
+/// anyway.
+#[allow(clippy::too_many_arguments)]
+fn key_restricted(
+    module: &Module,
+    rels: &mut BTreeMap<Name, Relation>,
+    stratum: &Stratum,
+    reads: &StratumReads,
+    pre: &PreState,
+    changed: &BTreeSet<&Name>,
+    diffs: &mut BTreeMap<Name, InputDiff>,
+    cache: &SharedIndexCache,
+) -> RelResult<bool> {
+    let p = &stratum.preds[0];
+    let mut bindings = Vec::with_capacity(changed.len());
+    let mut key: Option<Vec<usize>> = None;
+    for &input in changed {
+        let kb = reads.key_binding(input).expect("checked by the caller");
+        key = Some(match key {
+            None => kb.positions.clone(),
+            Some(k) => k.into_iter().filter(|q| kb.positions.contains(q)).collect(),
+        });
+        bindings.push((input, kb));
+    }
+    let key = key.unwrap_or_default();
+    if key.is_empty() {
+        return Ok(false);
+    }
+    // The affected keys: every changed input tuple, through every
+    // occurrence's key columns.
+    let mut keys: BTreeSet<Vec<Value>> = BTreeSet::new();
+    for (input, kb) in &bindings {
+        let diff = input_diff(diffs, pre, rels, input);
+        for occurrence in &kb.columns {
+            let cols: Vec<usize> = key
+                .iter()
+                .map(|k| occurrence[kb.positions.binary_search(k).expect("k in positions")])
+                .collect();
+            for t in diff.added.iter().chain(diff.removed.iter()) {
+                keys.extend(row_key(t, &cols).map(Cow::into_owned));
+            }
+        }
+    }
+    let is_stale = |t: &Tuple| row_key(t, &key).is_some_and(|k| keys.contains(k.as_ref()));
+
+    // Give up when the affected keys cover the old result: count its
+    // distinct keys only until they outnumber the affected ones.
+    let old = pre.state.get(p).cloned().unwrap_or_default();
+    let mut distinct: BTreeSet<Cow<'_, [Value]>> = BTreeSet::new();
+    for t in old.iter() {
+        distinct.extend(row_key(t, &key));
+        if distinct.len() > keys.len() {
+            break;
+        }
+    }
+    if keys.len() >= distinct.len() {
+        return Ok(false);
+    }
+
+    let restricted = {
+        let cx = EvalCtx::with_cache(module, rels, cache.clone()).probing_prefixes();
+        let mut out = Relation::new();
+        for rule in module.rules_for(p) {
+            let seeds: Vec<Env> = keys.iter().filter_map(|kv| seed_keys(rule, &key, kv)).collect();
+            out.absorb(&cx.eval_rule_seeded(rule, seeds)?);
+        }
+        out
+    };
+    let stale: Vec<&Tuple> = old.iter().filter(|t| is_stale(t)).collect();
+    let new = if restricted.iter().eq(stale.iter().copied()) {
+        old // the keyed rows re-derived unchanged: keep the storage
+    } else {
+        let mut new = old;
+        new.retain(|t| !is_stale(t));
+        new.absorb(&restricted);
+        new
+    };
+    rels.insert(p.clone(), new);
+    Ok(true)
+}
+
+/// The values of `t` at `cols`, borrowed when `cols` is a column prefix
+/// (the common key shape: a grouped aggregate, a domain-keyed override);
+/// `None` when `t` is too short.
+fn row_key<'t>(t: &'t Tuple, cols: &[usize]) -> Option<Cow<'t, [Value]>> {
+    if cols.iter().enumerate().all(|(i, &c)| i == c) {
+        t.values().get(..cols.len()).map(Cow::Borrowed)
+    } else {
+        cols.iter().map(|&c| t.get(c).cloned()).collect::<Option<Vec<_>>>().map(Cow::Owned)
+    }
+}
+
+/// A seed environment for `rule` binding the head positions `key` to
+/// `values`, or `None` when the rule cannot produce that key (a constant
+/// head position holds another value, or a repeated head variable would
+/// need two values).
+fn seed_keys(rule: &Rule, key: &[usize], values: &[Value]) -> Option<Env> {
+    let mut env = Env::new(rule.vars.len());
+    for (&k, v) in key.iter().zip(values) {
+        match &rule.params[k] {
+            AbsParam::Val(var) | AbsParam::In(var, _) => {
+                if env.value(*var).is_some_and(|bound| bound != v) {
+                    return None;
+                }
+                env.bind(*var, EnvVal::Val(v.clone()));
+            }
+            AbsParam::Fixed(c) => {
+                if c != v {
+                    return None;
+                }
+            }
+            AbsParam::Tup(_) => unreachable!("key positions precede tuple variables"),
+        }
+    }
+    Some(env)
 }
 
 #[cfg(test)]
@@ -671,6 +880,44 @@ mod tests {
         assert_eq!(flatten(&inc), flatten(&full));
         assert!(inc.contains_key(&rel_core::name("TC")));
         assert!(stats.recomputed >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn another_modules_run_keeps_this_modules_derived_indexes() {
+        // Module A joins its derived TC with F; module B, run against the
+        // same cache in between, reads neither.
+        let a = rel_sema::compile(&format!(
+            "{TC}\ndef Out(x,w) : exists((y) | TC(x,y) and F(y,w))"
+        ))
+        .unwrap();
+        let b = rel_sema::compile("def Other(x) : G(x)").unwrap();
+        let mut db0 = edge_db(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+        db0.insert("F", tuple![6, 7]);
+        db0.insert("G", tuple![1]);
+        let cache = SharedIndexCache::default();
+        let pre_rels = materialize_with_cache(&a, &db0, cache.clone()).unwrap();
+        let tc_gen = pre_rels[&rel_core::name("TC")].generation();
+        assert!(cache.generations_for("TC").contains(&tc_gen), "A's join must cache TC");
+
+        materialize_with_cache(&b, &db0, cache.clone()).unwrap();
+        assert!(
+            cache.generations_for("TC").contains(&tc_gen),
+            "B's run evicted A's entries over TC"
+        );
+
+        // Re-run A with only F grown: TC is reused by pointer, and Out's
+        // join over it must hit the cached entry instead of rebuilding.
+        let pre = PreState::capture(&db0, &pre_rels);
+        let mut db1 = db0.clone();
+        db1.insert("F", tuple![5, 8]);
+        let sink = std::sync::Arc::new(crate::profile::ProfileSink::new());
+        cache.set_profile(Some(std::sync::Arc::clone(&sink)));
+        let (inc, _) = materialize_incremental_with_stats(&a, &pre, &db1, cache.clone()).unwrap();
+        cache.set_profile(None);
+        let full = materialize_with_cache(&a, &db1, SharedIndexCache::default()).unwrap();
+        assert_eq!(flatten(&inc), flatten(&full));
+        let c = sink.counts();
+        assert!(c.trie_reuses + c.index_reuses >= 1, "TC's entry was rebuilt: {c:?}");
     }
 
     #[test]

@@ -94,10 +94,12 @@
 //! * [`incremental`] — incremental view maintenance: given a captured
 //!   pre-state fixpoint ([`PreState`]) and the generation-diffed set of
 //!   changed base relations, re-derives only the dependent cone —
-//!   pointer-bump reuse outside it, delta-seeded semi-naive restart for
-//!   monotone recursion inside it. Drives `Session` evaluation and the
-//!   commit-time constraint re-check; `REL_INCREMENTAL=0` falls back to
-//!   full re-materialization;
+//!   pointer-bump reuse outside it; inside it, delta-seeded restart for
+//!   monotone strata whose inputs only grew and key-restricted
+//!   re-evaluation of non-recursive strata (deletions, aggregates,
+//!   negation, overrides), recomputation otherwise. Drives `Session`
+//!   evaluation, watches and the commit-time constraint re-check;
+//!   `REL_INCREMENTAL=0` falls back to full re-materialization;
 //! * [`builtins`] — implementations of the infinite built-in relations
 //!   with invertible modes (`add(x, 5, z)` solves for `x`);
 //! * [`leapfrog`] — the leapfrog-triejoin worst-case-optimal join kernel

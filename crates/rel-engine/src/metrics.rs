@@ -261,9 +261,12 @@ pub struct Registry {
     pub trie_reuses: Counter,
     /// Strata reused by pointer bump during incremental maintenance.
     pub strata_reused: Counter,
-    /// Monotone recursive strata restarted semi-naively from the
-    /// previous fixpoint with delta seeds.
+    /// Monotone strata restarted from the previous fixpoint with delta
+    /// seeds.
     pub strata_delta_restarted: Counter,
+    /// Non-recursive strata re-derived only at the head keys their
+    /// changed inputs carry.
+    pub strata_key_restricted: Counter,
     /// Strata recomputed from scratch inside the changed cone.
     pub strata_recomputed: Counter,
     /// Conjunction groups dispatched to the leapfrog WCOJ kernel.
@@ -299,6 +302,7 @@ impl Registry {
             trie_reuses: Counter::new(),
             strata_reused: Counter::new(),
             strata_delta_restarted: Counter::new(),
+            strata_key_restricted: Counter::new(),
             strata_recomputed: Counter::new(),
             wcoj_dispatches: Counter::new(),
             binary_join_dispatches: Counter::new(),
@@ -337,6 +341,7 @@ impl Registry {
             ("trie_reuses", &self.trie_reuses),
             ("strata_reused", &self.strata_reused),
             ("strata_delta_restarted", &self.strata_delta_restarted),
+            ("strata_key_restricted", &self.strata_key_restricted),
             ("strata_recomputed", &self.strata_recomputed),
             ("wcoj_dispatches", &self.wcoj_dispatches),
             ("binary_join_dispatches", &self.binary_join_dispatches),
@@ -438,7 +443,7 @@ mod tests {
     #[test]
     fn snapshot_names_resolve_and_render() {
         let snap = registry().snapshot();
-        assert_eq!(snap.counters.len(), 22);
+        assert_eq!(snap.counters.len(), 23);
         assert_eq!(snap.get("commits"), registry().commits.get());
         assert_eq!(snap.get("not_a_counter"), 0);
         let text = snap.render();

@@ -16,7 +16,7 @@
 //! stratum:
 //!
 //! ```text
-//! query profile  wall=3.4ms  module-cache=hit  fixpoint=incremental (reused=2, delta-restarted=1, recomputed=0)
+//! query profile  wall=3.4ms  module-cache=hit  fixpoint=incremental (reused=2, delta-restarted=1, key-restricted=0, recomputed=0)
 //!   stratum 0  [TC] recursive  delta-restarted  wall=2.1ms  iters=3  kernel=wcoj  joins: wcoj=9 binary=0  rules: fused=0 env=12  index: built=1 reused=4  trie: built=2 reused=7
 //!   stratum 1  [Size]  reused  wall=0.0ms
 //! ```
@@ -26,9 +26,10 @@
 //!   was reused wholesale by pointer bumps), or `incremental` with the
 //!   per-stratum classification totals.
 //! * **per-stratum action** — `evaluated` (full run), `reused` (O(1)
-//!   pointer bump), `delta-restarted` (semi-naive restart from the
-//!   previous fixpoint), `recomputed` (re-evaluated inside the changed
-//!   cone).
+//!   pointer bump), `delta-restarted` (restart from the previous
+//!   fixpoint seeded with the grown inputs' deltas), `key-restricted`
+//!   (re-derived only at the head keys the changed input tuples carry),
+//!   `recomputed` (re-evaluated from scratch inside the changed cone).
 //! * **kernel** — the dominant join/rule kernel the stratum ran on:
 //!   `wcoj` (leapfrog triejoin), `fused` (columnar whole-rule kernels),
 //!   `binary` (pairwise joins through the env machinery), or `mixed`.
@@ -202,8 +203,14 @@ pub enum StratumAction {
     Evaluated,
     /// Reused wholesale from the previous fixpoint (O(1) pointer bump).
     Reused,
-    /// Semi-naive restart from the previous fixpoint with delta seeds.
+    /// Restart from the previous fixpoint with delta seeds: semi-naive to
+    /// the fixpoint for a recursive stratum, one pass over the input
+    /// deltas for a non-recursive one.
     DeltaRestarted,
+    /// A non-recursive stratum re-derived only at the head keys its
+    /// changed inputs' added and removed tuples carry; the rest of the
+    /// previous result is kept.
+    KeyRestricted,
     /// Re-evaluated from scratch inside the changed cone.
     Recomputed,
 }
@@ -215,6 +222,7 @@ impl StratumAction {
             StratumAction::Evaluated => "evaluated",
             StratumAction::Reused => "reused",
             StratumAction::DeltaRestarted => "delta-restarted",
+            StratumAction::KeyRestricted => "key-restricted",
             StratumAction::Recomputed => "recomputed",
         }
     }
@@ -293,8 +301,8 @@ impl FixpointOutcome {
             FixpointOutcome::Full => "full".to_string(),
             FixpointOutcome::CacheReuse => "cache".to_string(),
             FixpointOutcome::Incremental(s) => format!(
-                "incremental (reused={}, delta-restarted={}, recomputed={})",
-                s.reused, s.delta_seeded, s.recomputed
+                "incremental (reused={}, delta-restarted={}, key-restricted={}, recomputed={})",
+                s.reused, s.delta_seeded, s.key_restricted, s.recomputed
             ),
         }
     }
@@ -427,6 +435,7 @@ mod tests {
             fixpoint: FixpointOutcome::Incremental(IncrementalStats {
                 reused: 1,
                 delta_seeded: 1,
+                key_restricted: 1,
                 recomputed: 0,
             }),
             strata: vec![
@@ -441,16 +450,29 @@ mod tests {
                     wall: Duration::ZERO,
                     counts: KernelCounts::default(),
                 },
+                StratumProfile {
+                    preds: vec!["Total".to_string()],
+                    recursive: false,
+                    action: StratumAction::KeyRestricted,
+                    wall: Duration::ZERO,
+                    counts: KernelCounts { env_rules: 1, ..Default::default() },
+                },
             ],
         };
         let full = p.render();
         assert!(full.contains("module-cache=hit"), "{full}");
         assert!(full.contains("delta-restarted"), "{full}");
+        assert!(full.contains("key-restricted=1"), "{full}");
+        assert!(full.contains("  key-restricted  "), "{full}");
         assert!(full.contains("kernel=wcoj"), "{full}");
         assert!(full.contains("wall="), "{full}");
         let explain = p.explain();
         assert!(!explain.contains("wall="), "{explain}");
         assert!(explain.contains("stratum 1  [Size]"), "{explain}");
+        assert!(
+            explain.contains("stratum 2  [Total]  key-restricted  kernel=binary"),
+            "{explain}"
+        );
         assert_eq!(p.totals().wcoj_joins, 4);
         assert_eq!(p.strata_wall(), Duration::from_micros(1500));
     }

@@ -298,7 +298,7 @@ impl<'s> Transaction<'s> {
         }
         let any_affected = check.module.constraints.iter().any(|c| {
             let mut hit = false;
-            rel_sema::ir::visit_constraint_preds(c, &mut |n| hit |= affected.contains(n));
+            rel_sema::ir::visit_constraint_preds(c, &mut |n, _| hit |= affected.contains(n));
             hit
         });
         if any_affected {

@@ -26,7 +26,8 @@ use rel_core::database::{figure1_database, Delta};
 use rel_core::{tuple, Database, Name, RelError, RelResult, Relation, Tuple, Value};
 use rel_engine::session::check_constraints;
 use rel_engine::{
-    materialize, EngineConfig, Params, Prepared, Session, StratumAction, Transaction, Watch,
+    materialize, EngineConfig, FixpointOutcome, Params, Prepared, Session, StratumAction,
+    Transaction, Watch,
 };
 use rel_sema::ir::{param_relation, EvalMode};
 use std::collections::BTreeMap;
@@ -543,6 +544,99 @@ fn prepared_transfer_insert_evaluates_one_stratum() {
         .query_profiled("def output(t, x, y, a) : t = 99 and x = 1 and y = 2 and a = 5")
         .unwrap();
     assert_eq!(profile.strata.len(), 1, "{}", profile.explain());
+}
+
+/// The strata one feed read after a commit recomputed from scratch, and
+/// how many it maintained by delta.
+fn feed_after_commit(
+    s: &mut Session,
+    feed: &Prepared,
+    step: &Prepared,
+    params: &Params,
+) -> (Vec<String>, usize) {
+    let mut txn = s.begin();
+    txn.run_prepared(step, params).unwrap();
+    txn.commit().unwrap();
+    let (_, profile) = feed.execute_profiled(s).unwrap();
+    let FixpointOutcome::Incremental(stats) = profile.fixpoint else {
+        panic!("expected incremental maintenance: {}", profile.explain());
+    };
+    let recomputed: Vec<String> = profile
+        .strata
+        .iter()
+        .filter(|st| st.action == StratumAction::Recomputed)
+        .flat_map(|st| st.preds.iter().cloned())
+        .collect();
+    assert_eq!(recomputed.len(), stats.recomputed, "{}", profile.explain());
+    (recomputed, stats.delta_seeded + stats.key_restricted)
+}
+
+#[test]
+fn fraud_feed_recomputes_only_flows_and_only_on_reversals() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut s = Session::with_config(
+        fraud_db(&mut rng),
+        EngineConfig::from_env().incremental(true),
+    )
+    .with_library(FRAUD_LIB);
+    // Three structuring-band inflows for each of three accounts, so the
+    // count aggregate and `Structuring` hold more keys than one commit
+    // touches (with fewer, the keyed path would cost a recomputation and
+    // is not taken).
+    let mut txn = s.begin();
+    for t in 0..9 {
+        txn.stage_insert("Transfer", tuple![900 + t, 0, 1 + t % 3, 990]);
+    }
+    txn.commit().unwrap();
+    let feed = s.prepare(FRAUD_READS[0]).unwrap();
+    feed.execute(&s).unwrap();
+    let insert = s.prepare(TRANSFER_INSERT).unwrap();
+    let reverse = s
+        .prepare("def delete(:Transfer, t, x, y, a) : Transfer(t, x, y, a) and t = ?t")
+        .unwrap();
+    // A transfer along an edge no other transfer takes, in the
+    // structuring band: it reaches every stratum of the feed.
+    let edges: Vec<(i64, i64)> = s
+        .db()
+        .get("Transfer")
+        .unwrap()
+        .rows::<(i64, i64, i64, i64)>()
+        .unwrap()
+        .into_iter()
+        .map(|(_, x, y, _)| (x, y))
+        .collect();
+    let (x, y) = (0..ACCOUNTS)
+        .flat_map(|x| (0..ACCOUNTS).map(move |y| (x, y)))
+        .find(|e| e.0 != e.1 && !edges.contains(e))
+        .expect("a fresh edge");
+    let transfer = Params::new()
+        .set("t", 1000)
+        .set("from", x)
+        .set("to", y)
+        .set("amount", 950);
+    let (recomputed, maintained) = feed_after_commit(&mut s, &feed, &insert, &transfer);
+    assert_eq!(
+        recomputed,
+        Vec::<String>::new(),
+        "a transfer insert recomputes no stratum"
+    );
+    assert!(maintained > 0);
+    // Reversing it deletes the edge: the recursive closure is the one
+    // stratum without a delta path for deletions.
+    let (recomputed, _) = feed_after_commit(&mut s, &feed, &reverse, &Params::new().set("t", 1000));
+    assert_eq!(
+        recomputed,
+        vec!["Flows".to_string()],
+        "a reversal recomputes only Flows"
+    );
+    // A further insert along an existing edge again recomputes nothing.
+    let again = Params::new()
+        .set("t", 1001)
+        .set("from", edges[0].0)
+        .set("to", edges[0].1)
+        .set("amount", 42);
+    let (recomputed, _) = feed_after_commit(&mut s, &feed, &insert, &again);
+    assert_eq!(recomputed, Vec::<String>::new());
 }
 
 #[test]

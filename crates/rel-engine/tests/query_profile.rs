@@ -182,12 +182,53 @@ fn incremental_recursion_is_delta_restarted() {
         panic!("expected incremental maintenance, got {:?}", incr.fixpoint);
     };
     assert!(stats.delta_seeded >= 1, "monotone recursion in the cone restarts: {stats:?}");
-    let restarted = incr
+    // Both strata grew: the closure restarts semi-naively (iterating),
+    // `output` takes one pass over TC's delta.
+    let restarted: Vec<(bool, u64)> = incr
         .strata
         .iter()
-        .find(|st| st.action == StratumAction::DeltaRestarted)
-        .expect("one stratum must be delta-restarted");
-    assert!(restarted.recursive, "only the recursive stratum restarts");
+        .filter(|st| st.action == StratumAction::DeltaRestarted)
+        .map(|st| (st.recursive, st.counts.iterations))
+        .collect();
+    assert_eq!(restarted.len(), 2, "{}", incr.explain());
+    assert!(restarted[0].0 && restarted[0].1 >= 1, "{restarted:?}");
+    assert_eq!(restarted[1], (false, 0), "{}", incr.explain());
+}
+
+const TOTALS: &str = "def sum[{A}] : reduce[add, A]\n\
+                      def Total[x in U] : sum[E[x]] <++ 0\n\
+                      def output(x, s) : Total(x, s)";
+
+#[test]
+fn incremental_aggregate_deletion_is_key_restricted() {
+    let mut db = Database::new();
+    db.set("U", Relation::from_tuples((1..=4).map(|x| tuple![x])));
+    db.set(
+        "E",
+        Relation::from_tuples((1..=4).flat_map(|x| [tuple![x, 10], tuple![x, 20 + x]])),
+    );
+    let mut s = Session::new(db);
+    s.set_incremental(true);
+    s.query_profiled(TOTALS).unwrap();
+    // Deleting one row of E moves one account's total: the aggregate
+    // and everything above it re-derive only that key.
+    let mut txn = s.begin();
+    txn.stage_delete("E", &tuple![2, 22]);
+    txn.commit().unwrap();
+    let (rows, incr) = s.query_profiled(TOTALS).unwrap();
+    assert!(rows.contains(&tuple![2, 10]), "{rows:?}");
+    let FixpointOutcome::Incremental(stats) = incr.fixpoint else {
+        panic!("expected incremental maintenance, got {:?}", incr.fixpoint);
+    };
+    assert_eq!(stats.recomputed, 0, "{}", incr.explain());
+    assert_eq!(stats.key_restricted, incr.strata.len(), "{}", incr.explain());
+    let explain = incr.explain();
+    assert!(explain.contains(&format!("key-restricted={}", stats.key_restricted)), "{explain}");
+    assert!(
+        incr.strata.iter().all(|st| st.action == StratumAction::KeyRestricted),
+        "{explain}"
+    );
+    assert!(explain.contains("  key-restricted  kernel="), "{explain}");
 }
 
 #[test]

@@ -360,8 +360,9 @@ pub struct Stratum {
 /// [`Module::stratum_reads`]; the engine's incremental-maintenance
 /// subsystem uses the split to decide whether a changed input admits
 /// delta-seeded semi-naive restart (insertions into positively-read
-/// inputs) or forces a stratum recomputation (any change to a
-/// negatively-read input — negation, aggregation, override).
+/// inputs) or needs a key-restricted re-evaluation or a recomputation
+/// (deletions, and any change to a negatively-read input — negation,
+/// aggregation, override).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StratumReads {
     /// Names read only through monotone contexts, sorted and deduplicated.
@@ -369,9 +370,43 @@ pub struct StratumReads {
     /// Names read under negation, aggregation input, or left-override,
     /// sorted and deduplicated.
     pub negative: Vec<Name>,
+    /// For a non-recursive stratum: each input's [`KeyBinding`], sorted by
+    /// name (inputs without a common key are absent). Empty for recursive
+    /// strata.
+    pub keys: Vec<(Name, KeyBinding)>,
+}
+
+/// How the occurrences of one input in a non-recursive stratum's rules
+/// bind the head. Position `k` is a *key* of the input when every
+/// occurrence — positive or negated atom, partial application (also
+/// inside `reduce` or `<++`), `x in R` domain — has a bare head variable
+/// of position `k` at some column, and every rule of the stratum can
+/// seed position `k` (a variable or constant before any tuple-variable
+/// parameter).
+///
+/// The head tuples with key value `v` then depend on the input only
+/// through its tuples carrying `v` at those columns, so after the input
+/// changes only the keys its changed tuples carry need re-deriving: the
+/// engine's key-restricted maintenance of aggregates, negation and
+/// overrides.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KeyBinding {
+    /// The key head positions, sorted; never empty.
+    pub positions: Vec<usize>,
+    /// One entry per occurrence: the input column bound to each of
+    /// `positions`, in the same order.
+    pub columns: Vec<Vec<usize>>,
 }
 
 impl StratumReads {
+    /// The key binding of input `name`, if it has a common key.
+    pub fn key_binding(&self, name: &str) -> Option<&KeyBinding> {
+        self.keys
+            .binary_search_by(|(n, _)| (**n).cmp(name))
+            .ok()
+            .map(|i| &self.keys[i].1)
+    }
+
     /// Every name the stratum reads: the sorted positive list followed by
     /// the sorted negative list (not globally sorted; a name read in both
     /// polarities appears twice).
@@ -504,7 +539,7 @@ impl Module {
             mark(r.as_ref());
         }
         for c in &self.constraints {
-            visit_constraint_preds(c, &mut |p| mark(p));
+            visit_constraint_preds(c, &mut |p, _| mark(p));
         }
         // Dependencies precede dependents, so one backward pass closes
         // the set transitively.
@@ -546,8 +581,11 @@ impl Module {
     }
 }
 
-/// Visit every predicate name referenced by a formula (pre-order).
-pub fn visit_formula_preds(f: &Formula, visit: &mut impl FnMut(&Name)) {
+/// Visit every predicate reference of a formula (pre-order), with the
+/// terms the reference applies to the relation's leading columns: an
+/// atom's or partial application's arguments, the member term of
+/// `t in R`, nothing for a whole-relation reference.
+pub fn visit_formula_preds(f: &Formula, visit: &mut impl FnMut(&Name, &[Term])) {
     match f {
         Formula::True | Formula::False => {}
         Formula::Conj(items) | Formula::Disj(items) => {
@@ -556,23 +594,27 @@ pub fn visit_formula_preds(f: &Formula, visit: &mut impl FnMut(&Name)) {
             }
         }
         Formula::Not(inner) => visit_formula_preds(inner, visit),
-        Formula::Atom(a) => visit(&a.pred),
+        Formula::Atom(a) => visit(&a.pred, &a.args),
         Formula::DynAtom { rel, .. } => visit_rexpr_preds(rel, visit),
         Formula::Cmp { lhs, rhs, .. } => {
             visit_rexpr_preds(lhs, visit);
             visit_rexpr_preds(rhs, visit);
         }
-        Formula::Member { of, .. } => visit_rexpr_preds(of, visit),
+        Formula::Member { term, of } => match &**of {
+            RExpr::Pred(p) => visit(p, std::slice::from_ref(term)),
+            other => visit_rexpr_preds(other, visit),
+        },
         Formula::Exists { body, .. } => visit_formula_preds(body, visit),
         Formula::OfExpr(e) => visit_rexpr_preds(e, visit),
     }
 }
 
-/// Visit every predicate name referenced by a relation expression.
-pub fn visit_rexpr_preds(e: &RExpr, visit: &mut impl FnMut(&Name)) {
+/// Visit every predicate reference of a relation expression, with its
+/// leading-column terms (see [`visit_formula_preds`]).
+pub fn visit_rexpr_preds(e: &RExpr, visit: &mut impl FnMut(&Name, &[Term])) {
     match e {
-        RExpr::Pred(p) => visit(p),
-        RExpr::PApp { pred, .. } => visit(pred),
+        RExpr::Pred(p) => visit(p, &[]),
+        RExpr::PApp { pred, args } => visit(pred, args),
         RExpr::DynPApp { rel, .. } => visit_rexpr_preds(rel, visit),
         RExpr::Product(es) | RExpr::Union(es) => {
             for x in es {
@@ -611,13 +653,11 @@ pub fn visit_rexpr_preds(e: &RExpr, visit: &mut impl FnMut(&Name)) {
     }
 }
 
-/// Visit every predicate name a rule references (head domains + body).
-pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name)) {
-    for p in &rule.params {
-        if let AbsParam::In(_, dom) = p {
-            visit_rexpr_preds(dom, visit);
-        }
-    }
+/// Visit every predicate reference of a rule (head domains + body), with
+/// its leading-column terms (see [`visit_formula_preds`]); a head domain
+/// `x in R` applies `x`.
+pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name, &[Term])) {
+    visit_domains(&rule.params, visit);
     visit_rexpr_preds(&rule.body, visit);
 }
 
@@ -626,13 +666,20 @@ pub fn visit_rule_preds(rule: &Rule, visit: &mut impl FnMut(&Name)) {
 /// path uses this to decide which constraints sit inside the dependent
 /// cone of a transaction's touched relations and must be re-verified
 /// against the post-change state.
-pub fn visit_constraint_preds(c: &ConstraintIr, visit: &mut impl FnMut(&Name)) {
-    for p in &c.params {
-        if let AbsParam::In(_, dom) = p {
-            visit_rexpr_preds(dom, visit);
+pub fn visit_constraint_preds(c: &ConstraintIr, visit: &mut impl FnMut(&Name, &[Term])) {
+    visit_domains(&c.params, visit);
+    visit_rexpr_preds(&c.body, visit);
+}
+
+fn visit_domains(params: &[AbsParam], visit: &mut impl FnMut(&Name, &[Term])) {
+    for p in params {
+        if let AbsParam::In(v, dom) = p {
+            match &**dom {
+                RExpr::Pred(r) => visit(r, &[Term::Var(*v)]),
+                other => visit_rexpr_preds(other, visit),
+            }
         }
     }
-    visit_rexpr_preds(&c.body, visit);
 }
 
 impl fmt::Display for Term {

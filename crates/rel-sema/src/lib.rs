@@ -60,7 +60,7 @@ pub fn analyze(program: &Program) -> RelResult<Module> {
     // lower to reserved `?`-prefixed base relations, which only the
     // prepared-query execute path may populate.
     let mut params = std::collections::BTreeSet::new();
-    let mut see = |n: &rel_core::Name| {
+    let mut see = |n: &rel_core::Name, _: &[ir::Term]| {
         if let Some(p) = ir::param_name(n) {
             params.insert(rel_core::name(p));
         }
@@ -71,12 +71,7 @@ pub fn analyze(program: &Program) -> RelResult<Module> {
         }
     }
     for c in &constraints {
-        for p in &c.params {
-            if let ir::AbsParam::In(_, dom) = p {
-                ir::visit_rexpr_preds(dom, &mut see);
-            }
-        }
-        ir::visit_rexpr_preds(&c.body, &mut see);
+        ir::visit_constraint_preds(c, &mut see);
     }
     let params: Vec<rel_core::Name> = params.into_iter().collect();
     Ok(Module { rules, constraints, strata, stratum_deps, stratum_reads, pred_info, params })
@@ -125,7 +120,7 @@ mod tests {
         let mut preds = std::collections::BTreeSet::new();
         for rs in m.rules.values() {
             for r in rs {
-                ir::visit_rule_preds(r, &mut |n| {
+                ir::visit_rule_preds(r, &mut |n, _| {
                     preds.insert(n.clone());
                 });
             }

@@ -13,7 +13,9 @@
 //! partial-fixpoint iteration instead of semi-naive (DESIGN.md §2.3).
 
 use crate::builtins;
-use crate::ir::{Formula, RExpr, Rule, Stratum, StratumReads};
+use crate::ir::{
+    visit_rule_preds, AbsParam, Formula, KeyBinding, RExpr, Rule, Stratum, StratumReads, Term, Var,
+};
 use rel_core::Name;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -303,10 +305,84 @@ pub fn stratum_read_sets(
                     }
                 }
             }
+            let keys = if s.recursive {
+                Vec::new()
+            } else {
+                let rules: Vec<&Rule> =
+                    s.preds.iter().flat_map(|p| rules.get(p).into_iter().flatten()).collect();
+                key_bindings(&rules, &s.preds)
+            };
             StratumReads {
                 positive: positive.into_iter().collect(),
                 negative: negative.into_iter().collect(),
+                keys,
             }
+        })
+        .collect()
+}
+
+/// One occurrence of an input: head position → input column, for every
+/// head variable the occurrence binds with a bare variable term.
+type Occurrence = BTreeMap<usize, usize>;
+
+/// The [`KeyBinding`] of every input of a non-recursive stratum's `rules`
+/// that has a common key (see [`KeyBinding`] for the conditions), sorted
+/// by input name. The stratum's own predicates are skipped.
+fn key_bindings(rules: &[&Rule], own: &[Name]) -> Vec<(Name, KeyBinding)> {
+    // Positions every rule can seed: a variable or constant parameter
+    // before any tuple-variable parameter.
+    let mut seedable: Option<BTreeSet<usize>> = None;
+    let mut occurrences: BTreeMap<Name, Vec<Occurrence>> = BTreeMap::new();
+    for rule in rules {
+        let fixed = rule.params.iter().take_while(|p| !matches!(p, AbsParam::Tup(_))).count();
+        let here: BTreeSet<usize> = (0..fixed).collect();
+        seedable = Some(match seedable {
+            None => here,
+            Some(s) => &s & &here,
+        });
+        let mut head: BTreeMap<Var, Vec<usize>> = BTreeMap::new();
+        for (k, p) in rule.params[..fixed].iter().enumerate() {
+            if let AbsParam::Val(v) | AbsParam::In(v, _) = p {
+                head.entry(*v).or_default().push(k);
+            }
+        }
+        // A bare head variable at column `c` of a reference (before any
+        // tuple variable, past which columns are not fixed) binds its
+        // positions to `c`; a whole-relation reference binds nothing.
+        visit_rule_preds(rule, &mut |pred, args| {
+            if builtins::is_builtin(pred) {
+                return;
+            }
+            let mut occ = Occurrence::new();
+            for (c, t) in args.iter().enumerate() {
+                match t {
+                    Term::TupleVar(_) => break,
+                    Term::Var(v) => {
+                        for &k in head.get(v).into_iter().flatten() {
+                            occ.entry(k).or_insert(c);
+                        }
+                    }
+                    Term::Const(_) => {}
+                }
+            }
+            occurrences.entry(pred.clone()).or_default().push(occ);
+        });
+    }
+    let seedable = seedable.unwrap_or_default();
+    occurrences
+        .into_iter()
+        .filter(|(name, _)| !own.contains(name))
+        .filter_map(|(name, occs)| {
+            let positions: Vec<usize> = seedable
+                .iter()
+                .copied()
+                .filter(|k| occs.iter().all(|o| o.contains_key(k)))
+                .collect();
+            if positions.is_empty() {
+                return None;
+            }
+            let columns = occs.iter().map(|o| positions.iter().map(|k| o[k]).collect()).collect();
+            Some((name, KeyBinding { positions, columns }))
         })
         .collect()
 }
@@ -521,6 +597,52 @@ mod tests {
             .unwrap();
         let cone = m.dependent_cone(&[e].into_iter().collect());
         assert!(cone.contains(&tot), "aggregation consumer escaped the cone");
+    }
+
+    #[test]
+    fn key_bindings_follow_bare_head_variables() {
+        let m = crate::compile(
+            "def sum[{A}] : reduce[add, A]\n\
+             def Tot[x in Acct] : sum[In[x]] <++ 0\n\
+             def Far(x, y) : R(x, y) and not R(y, x)\n\
+             def Two(x, z) : exists((y) | R(x, y) and R(y, z))\n\
+             def Pinned(x, 1) : R(x, _)\n\
+             def Pinned(x, y) : S(x, y)\n\
+             def Whole(x) : U(x) and not exists((a, b) | R(a, b))\n\
+             def Tail(x, y...) : V(x, y...)\n\
+             def After(x) : exists((y...) | V(y..., x))\n\
+             def TC(x, y) : R(x, y)\n\
+             def TC(x, y) : exists((z) | R(x, z) and TC(z, y))",
+        )
+        .unwrap();
+        let reads = |p: &str| &m.stratum_reads[m.pred_info[p].stratum];
+        let kb = |positions: &[usize], columns: &[&[usize]]| KeyBinding {
+            positions: positions.to_vec(),
+            columns: columns.iter().map(|c| c.to_vec()).collect(),
+        };
+        // Two occurrences key both positions through swapped columns.
+        assert_eq!(reads("Far").key_binding("R"), Some(&kb(&[0, 1], &[&[0, 1], &[1, 0]])));
+        // The occurrences of a self-join share no head position.
+        assert_eq!(reads("Two").key_binding("R"), None);
+        // A domain and a partial application inside `<++`.
+        let tot = reads("Tot");
+        assert_eq!(tot.key_binding("Acct"), Some(&kb(&[0], &[&[0]])));
+        let sum = tot.keys.iter().find(|(n, _)| n.starts_with("sum@")).expect("lifted sum");
+        assert_eq!(sum.1, kb(&[0], &[&[0]]));
+        // ... and the aggregate's input keys the lifted stratum.
+        let lifted = &m.stratum_reads[m.pred_info[&sum.0].stratum];
+        assert_eq!(lifted.key_binding("In"), Some(&kb(&[0], &[&[0]])));
+        // A constant head position is seedable, but nothing binds it.
+        assert_eq!(reads("Pinned").key_binding("R"), Some(&kb(&[0], &[&[0]])));
+        assert_eq!(reads("Pinned").key_binding("S"), Some(&kb(&[0, 1], &[&[0, 1]])));
+        // A whole-relation read keys nothing; the unrelated domain does.
+        assert_eq!(reads("Whole").key_binding("R"), None);
+        assert!(reads("Whole").key_binding("U").is_some());
+        // Columns and positions past a tuple variable are not fixed.
+        assert_eq!(reads("Tail").key_binding("V"), Some(&kb(&[0], &[&[0]])));
+        assert_eq!(reads("After").key_binding("V"), None);
+        // Recursive strata carry no keys.
+        assert!(reads("TC").keys.is_empty());
     }
 
     #[test]
